@@ -111,12 +111,12 @@ bench-sim:
 	$(GO) run ./cmd/mepipe-bench -sim -sim-out $(CURDIR)/BENCH_sim.json
 
 # Sweep-engine smoke (docs/PERFORMANCE.md): the golden equivalence suite
-# (sweep vs sequential vs frozen reference at 8/16/32 GPUs, ±prune, and
-# mid-sweep cancellation), the /v1/sweep wire tests, and a short -sweep
-# bench pass (which cross-checks every candidate bitwise against the
-# frozen pre-sweep path before timing).
+# (sweep and one-system search vs the frozen reference at 8/16/32 GPUs,
+# ±prune, and mid-search cancellation), the /v1/sweep wire tests, and a
+# short -sweep bench pass (which cross-checks every candidate bitwise
+# against the frozen pre-sweep path before timing).
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep|TestSearchReference' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep|TestSearchContext|TestSearchReference' -count=1
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1
 	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 0.5 -sweep-out $(CURDIR)/BENCH_sweep_smoke.json
 

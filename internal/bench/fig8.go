@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -29,15 +30,27 @@ func fig8Search(gbs int) (map[strategy.System]*strategy.SearchResult, error) {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(8)
 	tr := config.Training{GlobalBatch: gbs, MicroBatch: 1}
-	out := map[strategy.System]*strategy.SearchResult{}
-	for _, sys := range strategy.Systems() {
-		res, err := strategy.Search(sys, m, cl, tr, strategy.DefaultSpace())
-		if err != nil && res == nil {
-			return nil, fmt.Errorf("bench: fig8 gbs=%d %s: %w", gbs, sys, err)
-		}
-		out[sys] = res
+	out, err := sweepSystems(m, cl, tr)
+	if err != nil {
+		return nil, fmt.Errorf("bench: fig8 gbs=%d: %w", gbs, err)
 	}
 	fig8Data.results[gbs] = out
+	return out, nil
+}
+
+// sweepSystems grid-searches every evaluated system in one sweep and
+// indexes the per-system results. A system with no feasible candidate
+// keeps its (empty) result; only a genuine failure is an error.
+func sweepSystems(m config.Model, cl cluster.Cluster, tr config.Training) (map[strategy.System]*strategy.SearchResult, error) {
+	systems := strategy.Systems()
+	sw, err := strategy.Sweep(context.Background(), systems, m, cl, tr, strategy.DefaultSpace())
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[strategy.System]*strategy.SearchResult, len(systems))
+	for i, sys := range systems {
+		out[sys] = sw.Results[i]
+	}
 	return out, nil
 }
 

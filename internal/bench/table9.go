@@ -15,13 +15,13 @@ func init() {
 // bestAcrossSystems returns the fastest feasible evaluation over all
 // systems on the given cluster (the paper reports the *optimal* A100 time).
 func bestAcrossSystems(m config.Model, cl cluster.Cluster, tr config.Training) (*strategy.Eval, error) {
+	results, err := sweepSystems(m, cl, tr)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s on %s: %w", m.Name, cl.GPU.Name, err)
+	}
 	var best *strategy.Eval
 	for _, sys := range strategy.Systems() {
-		res, err := strategy.Search(sys, m, cl, tr, strategy.DefaultSpace())
-		if err != nil && res == nil {
-			continue
-		}
-		if b := res.Best(); b != nil && (best == nil || b.IterTime < best.IterTime) {
+		if b := results[sys].Best(); b != nil && (best == nil || b.IterTime < best.IterTime) {
 			best = b
 		}
 	}

@@ -53,11 +53,12 @@ const DefaultCacheSize = 512
 // through the public facade (mepipe.Search / mepipe.Evaluate); tests
 // substitute stubs to count and steer computations.
 type Backend struct {
-	Search   func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace, sink obs.Sink) (*mepipe.SearchResult, error)
+	// Search takes no sink: searches do not trace.
+	Search func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace) (*mepipe.SearchResult, error)
+	// Evaluate's sink is the /v1/trace recorder (nil on /v1/simulate).
 	Evaluate func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, sink obs.Sink) (*mepipe.Eval, error)
-	Optimize func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, o mepipe.OptimizeOptions, sink obs.Sink) (*mepipe.Optimized, error)
-	// Sweep takes no sink: the sweep engine's session reuse is
-	// incompatible with tracing, so the server never taps it.
+	Optimize func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, o mepipe.OptimizeOptions) (*mepipe.Optimized, error)
+	// Sweep takes no sink: searches do not trace.
 	Sweep func(ctx context.Context, systems []mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace) (*mepipe.SweepResult, error)
 }
 
@@ -65,8 +66,8 @@ type Backend struct {
 // points.
 func facadeBackend(b Backend) Backend {
 	if b.Search == nil {
-		b.Search = func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace, sink obs.Sink) (*mepipe.SearchResult, error) {
-			return mepipe.Search(ctx, sys, m, cl, tr, sp, mepipe.WithTrace(sink))
+		b.Search = func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace) (*mepipe.SearchResult, error) {
+			return mepipe.Search(ctx, sys, m, cl, tr, sp)
 		}
 	}
 	if b.Evaluate == nil {
@@ -75,8 +76,8 @@ func facadeBackend(b Backend) Backend {
 		}
 	}
 	if b.Optimize == nil {
-		b.Optimize = func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, o mepipe.OptimizeOptions, sink obs.Sink) (*mepipe.Optimized, error) {
-			return mepipe.OptimizeEval(ctx, sys, m, cl, par, tr, o, mepipe.WithTrace(sink))
+		b.Optimize = func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, o mepipe.OptimizeOptions) (*mepipe.Optimized, error) {
+			return mepipe.OptimizeEval(ctx, sys, m, cl, par, tr, o)
 		}
 	}
 	if b.Sweep == nil {
@@ -95,10 +96,6 @@ type Options struct {
 	// disconnect (499 cancelled) and does not kill a computation other
 	// clients still wait on.
 	Timeout time.Duration
-	// Sink, when non-nil, receives the structured span events of every
-	// computed (non-cached) search and simulation — the server-side tap
-	// into the obs layer.
-	Sink obs.Sink
 	// Backend substitutes the computation functions (tests); zero fields
 	// use the facade.
 	Backend Backend
@@ -115,7 +112,6 @@ type Server struct {
 	cache   *lruCache
 	group   *coalescer
 	metrics *metrics
-	sink    obs.Sink
 	timeout time.Duration
 	now     Clock
 	mux     *http.ServeMux
@@ -136,7 +132,6 @@ func New(opts Options) *Server {
 		cache:   newLRUCache(size),
 		group:   newCoalescer(opts.BaseContext),
 		metrics: newMetrics(now()),
-		sink:    opts.Sink,
 		timeout: opts.Timeout,
 		now:     now,
 	}
@@ -273,7 +268,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // computeSearch runs one grid search and encodes its response body.
 func (s *Server) computeSearch(ctx context.Context, key string, plan *v1.Plan) ([]byte, error) {
-	res, err := s.backend.Search(ctx, plan.System, plan.Model, plan.Cluster, plan.Training, plan.Space, s.sink)
+	res, err := s.backend.Search(ctx, plan.System, plan.Model, plan.Cluster, plan.Training, plan.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +400,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // computeSimulate evaluates one pinned strategy and encodes its response
 // body.
 func (s *Server) computeSimulate(ctx context.Context, key string, plan *v1.Plan) ([]byte, error) {
-	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, s.sink)
+	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -467,7 +462,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // encodes its response body, discovered schedule document included.
 func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan, spec v1.OptSpec) ([]byte, error) {
 	res, err := s.backend.Optimize(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training,
-		mepipe.OptimizeOptions{Seed: spec.Seed, Iters: spec.Iters, Proposals: spec.Proposals}, s.sink)
+		mepipe.OptimizeOptions{Seed: spec.Seed, Iters: spec.Iters, Proposals: spec.Proposals})
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +583,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	rec := obs.NewRecorder()
-	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, obs.Multi(rec, s.sink))
+	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, rec)
 	if err != nil {
 		status = fail(w, err)
 		return

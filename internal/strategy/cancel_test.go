@@ -4,18 +4,20 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
-	"mepipe/internal/obs"
+	"mepipe/internal/sched"
+	"mepipe/internal/sim"
 )
 
-// TestSearchContextCancelled: a cancelled context stops the grid search on
-// both the parallel and the pruned path, returns an error wrapping
-// errs.ErrCancelled, and leaves no worker goroutines behind.
+// TestSearchContextCancelled: a cancelled context stops the grid search
+// with and without pruning, returns an error wrapping errs.ErrCancelled,
+// and leaves no worker goroutines behind.
 func TestSearchContextCancelled(t *testing.T) {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(8)
@@ -41,35 +43,33 @@ func TestSearchContextCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchContextCancelMidway cancels after the first simulated candidate
-// rather than up front, exercising the in-flight drain.
+// TestSearchContextCancelMidway cancels from inside the search rather than
+// up front, exercising the in-flight drain: the cost-wrap hook runs once a
+// candidate's schedule is built, right before it is simulated, so the
+// first simulated candidate cancels the search.
 func TestSearchContextCancelMidway(t *testing.T) {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(8)
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired bool
-	sink := sinkFunc(func(obs.Event) {
-		if !fired {
-			fired = true
-			cancel()
-		}
-	})
+	defer cancel()
+	var fired atomic.Bool
+	wrap := func(_ *sched.Schedule, c sim.Costs) sim.Costs {
+		fired.Store(true)
+		cancel()
+		return c
+	}
 	_, err := SearchContext(ctx, MEPipe, m, cl, tr, SearchSpace{
-		PP: []int{8}, SPP: []int{4}, MinDP: 2, Prune: true, // sequential: sink is single-goroutine
-	}, WithSink(sink))
-	if !fired {
+		PP: []int{8}, SPP: []int{4}, MinDP: 2, Prune: true,
+	}, WithCostWrap(wrap))
+	if !fired.Load() {
 		t.Fatal("no candidate simulated before cancellation")
 	}
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("SearchContext = %v, want ErrCancelled", err)
 	}
 }
-
-type sinkFunc func(obs.Event)
-
-func (f sinkFunc) Emit(e obs.Event) { f(e) }
 
 // TestSentinelErrors: every classified failure wraps its sentinel.
 func TestSentinelErrors(t *testing.T) {
@@ -90,9 +90,9 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestSearchDeterministicOrder: two runs of the same search (one parallel,
-// one sequential via pruning disabled twice) produce identical candidate
-// orderings — the tie-break on strategy shape makes the sort total.
+// TestSearchDeterministicOrder: repeated runs of the same search produce
+// identical candidate orderings — the tie-break on strategy shape makes the
+// sort total.
 func TestSearchDeterministicOrder(t *testing.T) {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(8)

@@ -30,9 +30,9 @@ type Optimized struct {
 }
 
 // OptimizeContext builds the configuration's preset schedule exactly like
-// EvaluateContext — memory plan, calibrated cost model, schedule
-// generator — and then runs the internal/opt simulated-annealing search
-// over certified reorderings of it. The memory budget enforced on every
+// EvaluateContext — the same per-point planner (memory plan, calibrated
+// cost model) and schedule generator — and then runs the internal/opt
+// simulated-annealing search over certified reorderings of it. The memory budget enforced on every
 // candidate is the plan's per-stage activation budget with the cost
 // model's real activation and gradient footprints (see optimizeBudget),
 // so a discovered schedule is proven to retain no more memory than the
@@ -47,38 +47,21 @@ type Optimized struct {
 //mepipe:deterministic
 func OptimizeContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, oopt opt.Options, opts ...Option) (*Optimized, error) {
 	o := buildOptions(opts)
-	if err := compatible(sys, par); err != nil {
-		return nil, err
-	}
-	mesh, err := cluster.NewMesh(cl, par)
+	pt, err := planPoint(sys, m, cl, par, tr, newPlanMemo())
 	if err != nil {
 		return nil, err
 	}
-	n, err := tr.MicroBatches(par)
-	if err != nil {
-		return nil, err
-	}
-	var reserve int64
-	if sys == ZB || sys == ZBV {
-		reserve = memplan.SplitReserve
-	}
-	plan, err := memplan.NewWithReserve(m, mesh, reserve)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Feasible() {
+	if !pt.plan.Feasible() {
 		return nil, fmt.Errorf("strategy: optimizing %s %v: static memory exceeds device capacity: %w", sys, par, errs.ErrOOM)
 	}
-	costs, err := perf.New(m, mesh)
-	if err != nil {
-		return nil, err
-	}
-	s, _, f, err := buildSchedule(sys, par, n, costs, plan)
+	// A MEPipe point the planner settled as OOM (no SVPP variant fits)
+	// fails here too, with buildSchedule's ErrOOM.
+	s, _, f, err := buildSchedule(sys, par, pt.n, pt.costs, pt.plan)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
 	}
 	if oopt.Budget == nil {
-		oopt.Budget, err = optimizeBudget(s, plan, costs)
+		oopt.Budget, err = optimizeBudget(s, pt.plan, pt.costs)
 		if err != nil {
 			return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
 		}
@@ -86,11 +69,11 @@ func OptimizeContext(ctx context.Context, sys System, m config.Model, cl cluster
 	if oopt.Trace == nil {
 		oopt.Trace = o.sink
 	}
-	res, err := opt.Optimize(ctx, s, costs, oopt)
+	res, err := opt.Optimize(ctx, s, pt.costs, oopt)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
 	}
-	return &Optimized{Sys: sys, Par: par, N: n, F: f, Opt: res}, nil
+	return &Optimized{Sys: sys, Par: par, N: pt.n, F: f, Opt: res}, nil
 }
 
 // optimizeBudget builds the memory budget the search enforces: the

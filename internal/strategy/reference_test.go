@@ -3,7 +3,6 @@ package strategy
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"mepipe/internal/cluster"
@@ -11,10 +10,11 @@ import (
 )
 
 // TestSearchReferenceMatchesSequential keeps the benchmark baseline honest:
-// the cold reference path must return byte-identical results to
-// SearchContext (which TestSweepMatchesSequential in turn pins against the
-// sweep engine), so a speedup measured against SearchReference is a speedup
-// against the same search, not against a strawman.
+// the cold reference path must return byte-identical results to the
+// one-system SearchContext (candidates, order, counters and error text), so
+// a speedup measured against SearchReference is a speedup against the same
+// search, not against a strawman. TestSweepMatchesSequential extends the
+// same comparison to the multi-system Sweep and to 8/16 GPUs.
 func TestSearchReferenceMatchesSequential(t *testing.T) {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(4)
@@ -26,20 +26,7 @@ func TestSearchReferenceMatchesSequential(t *testing.T) {
 			for _, sys := range Systems() {
 				want, wantErr := SearchContext(context.Background(), sys, m, cl, tr, sp)
 				got, gotErr := SearchReference(context.Background(), sys, m, cl, tr, sp)
-				if (wantErr == nil) != (gotErr == nil) ||
-					(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-					t.Fatalf("%s: error mismatch: reference %v, sequential %v", sys, gotErr, wantErr)
-				}
-				if got == nil {
-					t.Fatalf("%s: reference returned no result", sys)
-				}
-				if got.Evaluated != want.Evaluated || got.Pruned != want.Pruned {
-					t.Errorf("%s: counters (evaluated %d, pruned %d), want (%d, %d)",
-						sys, got.Evaluated, got.Pruned, want.Evaluated, want.Pruned)
-				}
-				if !reflect.DeepEqual(got.Candidates, want.Candidates) {
-					t.Fatalf("%s: candidates differ between reference and sequential paths", sys)
-				}
+				sameSearch(t, "reference "+sys.String(), got, gotErr, want, wantErr)
 			}
 		})
 	}

@@ -6,11 +6,7 @@ package strategy
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"mepipe/internal/analytic"
 	"mepipe/internal/cluster"
@@ -33,9 +29,10 @@ type options struct {
 	costWrap func(*sched.Schedule, sim.Costs) sim.Costs
 }
 
-// WithSink attaches a trace sink to the underlying simulation runs. With
-// Search, every simulated candidate emits into the same sink, so prefer
-// attaching it to a single Evaluate.
+// WithSink attaches a trace sink to the simulated iteration of an Evaluate.
+// Searches and sweeps do not trace — they reject a sink with
+// errs.ErrIncompatible — so trace a single Evaluate of the chosen
+// candidate instead.
 func WithSink(s obs.Sink) Option {
 	return func(o *options) { o.sink = s }
 }
@@ -136,41 +133,16 @@ func Evaluate(sys System, m config.Model, cl cluster.Cluster, par config.Paralle
 //mepipe:deterministic
 func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, opts ...Option) (*Eval, error) {
 	o := buildOptions(opts)
-	if err := compatible(sys, par); err != nil {
-		return nil, err
-	}
-	mesh, err := cluster.NewMesh(cl, par)
+	pt, err := planPoint(sys, m, cl, par, tr, newPlanMemo())
 	if err != nil {
 		return nil, err
 	}
-	n, err := tr.MicroBatches(par)
+	if pt.done {
+		return pt.ev, nil
+	}
+	s, dynamicW, f, err := buildSchedule(sys, par, pt.n, pt.costs, pt.plan)
 	if err != nil {
-		return nil, err
-	}
-	ev := &Eval{Sys: sys, Par: par, N: n}
-	var reserve int64
-	if sys == ZB || sys == ZBV {
-		reserve = memplan.SplitReserve
-	}
-	plan, err := memplan.NewWithReserve(m, mesh, reserve)
-	if err != nil {
-		return nil, err
-	}
-	ev.Budget = minInt64(plan.ActBudget)
-	if !plan.Feasible() {
-		ev.OOM = true
-		ev.OOMWhy = "static memory exceeds device capacity"
-		return ev, nil
-	}
-	costs, err := perf.New(m, mesh)
-	if err != nil {
-		return nil, err
-	}
-	s, dynamicW, f, err := buildSchedule(sys, par, n, costs, plan)
-	if err != nil {
-		ev.OOM = true
-		ev.OOMWhy = err.Error()
-		return ev, nil
+		return withOOM(*pt.ev, err.Error()), nil
 	}
 	// Pre-flight gate: prove the schedule deadlock-free and complete
 	// before spending simulation time on it. Generators always emit
@@ -179,18 +151,18 @@ func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster
 	if _, err := verify.Certify(s, verify.Options{}); err != nil {
 		return nil, fmt.Errorf("strategy: %s schedule rejected: %w", sys, err)
 	}
-	var simCosts sim.Costs = costs
+	var simCosts sim.Costs = pt.costs
 	if o.costWrap != nil {
-		simCosts = o.costWrap(s, costs)
+		simCosts = o.costWrap(s, pt.costs)
 	}
 	// Evaluate takes the pooled-session fast path for untraced runs and
 	// falls back to RunContext itself when o.sink is set (tracing owns
 	// span emission); results are bitwise-identical either way.
 	res, err := sim.Evaluate(ctx, sim.Options{
 		Sched: s, Costs: simCosts,
-		ActBudget: plan.ActBudget,
+		ActBudget: pt.plan.ActBudget,
 		DynamicW:  dynamicW,
-		TailTime:  costs.TailTime,
+		TailTime:  pt.costs.TailTime,
 		Trace:     o.sink,
 		// The schedule was validated by its generator and certified just
 		// above — re-validating at session bind would prove nothing new.
@@ -199,16 +171,7 @@ func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster
 	if err != nil {
 		return nil, fmt.Errorf("strategy: simulating %s %v: %w", sys, par, err)
 	}
-	ev.Result = res
-	ev.IterTime = res.IterTime
-	ev.Bubble = res.BubbleRatio
-	ev.PeakAct = res.PeakAct
-	ev.F = f
-	if res.OOM {
-		ev.OOM = true
-		ev.OOMWhy = fmt.Sprintf("activations exceed budget on stage %d", res.OOMStage)
-	}
-	return ev, nil
+	return fold(*pt.ev, res, f), nil
 }
 
 // compatible rejects strategy fields a system cannot express. Failures wrap
@@ -411,108 +374,21 @@ func Search(sys System, m config.Model, cl cluster.Cluster, tr config.Training, 
 }
 
 // SearchContext is Search with cancellation: a cancelled ctx stops the grid
-// between candidates (and inside each simulated candidate), drains every
-// worker goroutine, and returns an error wrapping errs.ErrCancelled.
+// between candidates, joins every worker goroutine, and returns an error
+// wrapping errs.ErrCancelled. It is a one-system Sweep, so like Sweep it
+// refuses a trace sink with errs.ErrIncompatible.
 //
 //mepipe:deterministic
 func SearchContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, opts ...Option) (*SearchResult, error) {
-	gpus := cl.GPUs()
-	cands := enumerate(sys, gpus, tr, sp)
-	res := &SearchResult{Sys: sys}
-	if sp.Prune {
-		// Pruning is inherently sequential (each decision depends on
-		// the best seen so far).
-		bestTime := 0.0
-		for _, par := range cands {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("strategy: search for %s %w: %v", sys, errs.ErrCancelled, ctx.Err())
-			}
-			if bestTime > 0 {
-				if lb, ok := lowerBound(sys, m, cl, par, tr); ok && lb > bestTime {
-					res.Pruned++
-					continue
-				}
-			}
-			ev, err := EvaluateContext(ctx, sys, m, cl, par, tr, opts...)
-			if err != nil {
-				if errors.Is(err, errs.ErrIncompatible) {
-					continue // expected: partition/sequence shape rejection
-				}
-				// Cancellation or a genuine failure (a rejected schedule,
-				// a simulator error) — not a shape mismatch to skip.
-				return nil, err
-			}
-			res.Evaluated++
-			res.Candidates = append(res.Candidates, ev)
-			if !ev.OOM && (bestTime == 0 || ev.IterTime < bestTime) {
-				bestTime = ev.IterTime
-			}
-		}
-	} else {
-		// Candidates are independent: evaluate them across the host's
-		// cores. Failures are classified exactly like the sequential
-		// branch: expected shape rejections (errs.ErrIncompatible) skip
-		// the candidate, anything else — a rejected schedule, a simulator
-		// failure — is a genuine error and the whole search reports the
-		// first one in grid order rather than silently dropping it.
-		evals := make([]*Eval, len(cands))
-		errsAt := make([]error, len(cands))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(cands) {
-			workers = len(cands)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain remaining indices
-					}
-					ev, err := EvaluateContext(ctx, sys, m, cl, cands[i], tr, opts...)
-					if err != nil {
-						if !errors.Is(err, errs.ErrIncompatible) {
-							errsAt[i] = err
-						}
-						continue
-					}
-					evals[i] = ev
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("strategy: search for %s %w: %v", sys, errs.ErrCancelled, ctx.Err())
-		}
-		for _, err := range errsAt {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, ev := range evals {
-			if ev != nil {
-				res.Evaluated++
-				res.Candidates = append(res.Candidates, ev)
-			}
-		}
+	sw, err := Sweep(ctx, []System{sys}, m, cl, tr, sp, opts...)
+	if err != nil {
+		return nil, err
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		return less(res.Candidates[i], res.Candidates[j])
-	})
-	if len(res.Candidates) == 0 {
-		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", sys, gpus, errs.ErrIncompatible)
-	}
-	return res, nil
+	return sw.Results[0], sw.Errs[0]
 }
 
 // enumerate lists every candidate strategy of the system's grid, in the
-// fixed grid order both SearchContext and the sweep engine walk (the order
+// fixed grid order the sweep engine and SearchReference walk (the order
 // the branch-and-bound prefix gate and its sequential replay are defined
 // over).
 func enumerate(sys System, gpus int, tr config.Training, sp SearchSpace) []config.Parallel {

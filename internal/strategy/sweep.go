@@ -20,11 +20,13 @@ import (
 	"mepipe/internal/verify"
 )
 
-// The streaming sweep engine. Sweep evaluates the grids of several systems
-// in one pass, and is guaranteed to return, per system, byte-identical
-// candidates (contents AND order) to a sequential SearchContext call — the
-// equivalence test in sweep_test.go pins that. It gets its speed from three
-// structural facts the one-candidate-at-a-time path cannot exploit:
+// The streaming sweep engine, the package's one grid search. Sweep evaluates
+// the grids of several systems in one pass (SearchContext is a one-system
+// Sweep), and is guaranteed to return, per system, byte-identical
+// candidates (contents AND order) to the frozen sequential SearchReference
+// — the equivalence test in sweep_test.go pins that. It gets its speed
+// from three structural facts a one-candidate-at-a-time search cannot
+// exploit:
 //
 //   - Shape-deduplicated certification. Grid points that differ only in a
 //     cost knob (the recomputation mode) share a schedule shape
@@ -51,9 +53,13 @@ import (
 //     result — including Evaluated/Pruned counters and the first error —
 //     regardless of worker interleaving.
 //
-// plannedPoint and the planning phase reproduce EvaluateContext's decision
-// sequence exactly; any divergence between the two paths is an equivalence
-// bug, not a tolerance.
+// EvaluateContext runs the same per-point planner (planPoint) and result
+// fold (fold) on a single point, so a searched candidate and a direct
+// evaluation of its strategy agree by construction.
+//
+// Searches do not trace: session reuse bypasses the simulator's span
+// emission, so Sweep (and SearchContext) reject a sink. Trace a single
+// Evaluate of the chosen candidate instead.
 
 // SweepStats counts what the engine actually did, across all systems.
 type SweepStats struct {
@@ -99,9 +105,9 @@ func (st SweepStats) PruneRate() float64 {
 // SweepResult is the outcome of one multi-system sweep.
 type SweepResult struct {
 	// Results holds one SearchResult per requested system, in input
-	// order, each byte-identical to what SearchContext would return.
+	// order, each byte-identical to what SearchReference returns.
 	Results []*SearchResult
-	// Errs[i] is the error SearchContext would have returned for system i
+	// Errs[i] is the error a one-system search returns for system i
 	// (e.g. "no candidate fits"), nil on success. Cancellation and
 	// genuine failures abort the whole sweep through Sweep's own error
 	// instead.
@@ -112,15 +118,15 @@ type SweepResult struct {
 
 // Sweep grid-searches several systems in one streaming pass over a
 // deduplicated work plan. See the engine comment above for how it stays
-// byte-identical to per-system SearchContext calls while doing strictly
-// less work. Tracing (WithSink) is incompatible with the engine's session
-// reuse — attach sinks to a single Evaluate instead.
+// byte-identical to per-system SearchReference calls while doing strictly
+// less work. Searches do not trace: a sink (WithSink) is rejected with
+// errs.ErrIncompatible — trace a single Evaluate instead.
 //
 //mepipe:deterministic
 func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, opts ...Option) (*SweepResult, error) {
 	o := buildOptions(opts)
 	if o.sink != nil {
-		return nil, fmt.Errorf("strategy: sweep cannot trace (attach the sink to a single Evaluate): %w", errs.ErrIncompatible)
+		return nil, fmt.Errorf("strategy: searches cannot trace (attach the sink to a single Evaluate): %w", errs.ErrIncompatible)
 	}
 	plans := make([]*sysPlan, len(systems))
 	memo := newPlanMemo()
@@ -174,8 +180,8 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 	stats.GateSkipped = int(counters.gateSkipped.Load())
 
 	// Deterministic sequential replay: reconstruct, per system, exactly
-	// what SearchContext would have produced from the superset of
-	// evaluations the parallel pass ran.
+	// what a sequential search produces from the superset of evaluations
+	// the parallel pass ran.
 	res := &SweepResult{
 		Results: make([]*SearchResult, len(systems)),
 		Errs:    make([]error, len(systems)),
@@ -185,7 +191,7 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 		if err != nil {
 			if errors.Is(err, errs.ErrIncompatible) && sr != nil {
 				// The system's own "no candidate fits" outcome: recorded
-				// per system, like a SearchContext caller looping systems
+				// per system, like a caller looping one-system searches
 				// and collecting errors would see it.
 				res.Results[si] = sr
 				res.Errs[si] = err
@@ -208,16 +214,15 @@ type sweepCounters struct {
 	generated, certified, deduped, simulated, gateSkipped atomic.Int64
 }
 
-// plannedPoint is one grid point after the cheap planning phase: the
-// prefix of EvaluateContext that runs before schedule generation, with its
-// outcome when that prefix already settles the point.
+// plannedPoint is one grid point after planPoint, the cheap phase before
+// schedule generation, with its outcome when planning already settles it.
 type plannedPoint struct {
 	par config.Parallel
 	n   int
 
-	// skip marks points EvaluateContext would reject before building a
-	// schedule (incompatible shape, mesh, micro-batching, or cost model).
-	// Sequential search skips them silently, and so does the replay.
+	// skip marks points planPoint rejects as incompatible before a
+	// schedule is built. Sequential search skips them silently, and so
+	// does the replay.
 	skip bool
 
 	// lower bound for the pruning gate
@@ -237,7 +242,7 @@ type plannedPoint struct {
 	err  error
 }
 
-// reject classifies a planning error exactly the way SearchContext does:
+// reject classifies a planning error the way sequential search does:
 // expected shape rejections (wrapping errs.ErrIncompatible) are skipped,
 // anything else is a genuine error the replay surfaces in grid order.
 func (pt *plannedPoint) reject(err error) {
@@ -282,108 +287,130 @@ func newPlanMemo() *planMemo {
 	}
 }
 
-// planSystem runs the cheap prefix of EvaluateContext for every grid point
-// of one system: compatibility, mesh, micro-batching, the memory plan, the
-// cost model, and (for MEPipe) the F-variant choice. Points whose outcome
-// is already settled here (skips and pre-simulation OOMs) never reach the
-// parallel pass.
+// planSystem plans every grid point of one system with planPoint. Points
+// whose outcome is already settled here (skips, planning errors and
+// pre-simulation OOMs) never reach the parallel pass.
 func planSystem(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, memo *planMemo) *sysPlan {
 	gpus := cl.GPUs()
 	cands := enumerate(sys, gpus, tr, sp)
 	pl := &sysPlan{sys: sys, gpus: gpus, prune: sp.Prune, pts: make([]*plannedPoint, len(cands))}
 	for i, par := range cands {
-		pt := &plannedPoint{par: par}
-		pl.pts[i] = pt
+		pt, err := planPoint(sys, m, cl, par, tr, memo)
+		if err != nil {
+			pt.reject(err)
+		}
 		// The bound is computed for every point, settled or not:
 		// sequential search prune-checks a candidate before it can
 		// discover the candidate is incompatible, so the replay needs the
 		// bound even on points the planner rejects.
-		if lb, ok := lowerBound(sys, m, cl, par, tr); ok {
-			pt.lb, pt.lbOK = lb, true
-		}
-		if err := compatible(sys, par); err != nil {
-			pt.reject(err)
-			continue
-		}
-		mesh, ok := memo.mesh[par]
-		if !ok {
-			var err error
-			mesh, err = cluster.NewMesh(cl, par)
-			if err != nil {
-				pt.reject(err)
-				continue
-			}
-			memo.mesh[par] = mesh
-		}
-		n, err := tr.MicroBatches(par)
-		if err != nil {
-			pt.reject(err)
-			continue
-		}
-		pt.n = n
-		var reserve int64
-		if sys == ZB || sys == ZBV {
-			reserve = memplan.SplitReserve
-		}
-		pk := planKey{par: par, reserve: reserve}
-		pk.par.Recompute = config.RecomputeNone
-		plan, ok := memo.plan[pk]
-		if !ok {
-			plan, err = memplan.NewWithReserve(m, mesh, reserve)
-			if err != nil {
-				pt.reject(err)
-				continue
-			}
-			memo.plan[pk] = plan
-		}
-		pt.plan = plan
-		ev := &Eval{Sys: sys, Par: par, N: n, Budget: minInt64(plan.ActBudget)}
-		if !plan.Feasible() {
-			ev.OOM = true
-			ev.OOMWhy = "static memory exceeds device capacity"
-			pt.done, pt.ev = true, ev
-			continue
-		}
-		var costs *perf.Costs
-		if sys == ZBV {
-			// ZBV retargets the cost model at the wave placement in
-			// place (perf.Costs.WithPlacement mutates the receiver), so
-			// it must own a fresh model rather than a memoized one.
-			costs, err = perf.New(m, mesh)
-		} else {
-			var hit bool
-			costs, hit = memo.costs[par]
-			if !hit {
-				costs, err = perf.New(m, mesh)
-				if err == nil {
-					memo.costs[par] = costs
-				}
-			}
-		}
-		if err != nil {
-			pt.reject(err)
-			continue
-		}
-		pt.costs = costs
-		if sys == MEPipe {
-			fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
-			grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
-			f, err := memplan.ChooseF(par, fam, grad, plan.ActBudget[0])
-			if err != nil {
-				// No SVPP variant fits the activation budget: the same
-				// pre-simulation OOM EvaluateContext reports.
-				ev.OOM = true
-				ev.OOMWhy = fmt.Sprintf("%v: %v", err, errs.ErrOOM)
-				pt.done, pt.ev = true, ev
-				continue
-			}
-			pt.f = f
-			pt.dynW = true
-		}
-		pt.ev = ev
+		pt.lb, pt.lbOK = lowerBound(sys, m, cl, par, tr)
+		pl.pts[i] = pt
 	}
 	pl.gate = newPrefixGate(len(pl.pts))
 	return pl
+}
+
+// planPoint is the per-point planner both EvaluateContext and the sweep
+// run before schedule generation: compatibility, mesh, micro-batching, the
+// memory plan, the static-OOM check, the cost model, and (for MEPipe) the
+// F-variant choice. The returned point is done when planning already
+// settles it as OOM; a planning error is returned for the caller to report
+// or classify, alongside the partial point.
+func planPoint(sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, memo *planMemo) (*plannedPoint, error) {
+	pt := &plannedPoint{par: par}
+	if err := compatible(sys, par); err != nil {
+		return pt, err
+	}
+	mesh, ok := memo.mesh[par]
+	if !ok {
+		var err error
+		mesh, err = cluster.NewMesh(cl, par)
+		if err != nil {
+			return pt, err
+		}
+		memo.mesh[par] = mesh
+	}
+	n, err := tr.MicroBatches(par)
+	if err != nil {
+		return pt, err
+	}
+	pt.n = n
+	var reserve int64
+	if sys == ZB || sys == ZBV {
+		reserve = memplan.SplitReserve
+	}
+	pk := planKey{par: par, reserve: reserve}
+	pk.par.Recompute = config.RecomputeNone
+	plan, ok := memo.plan[pk]
+	if !ok {
+		plan, err = memplan.NewWithReserve(m, mesh, reserve)
+		if err != nil {
+			return pt, err
+		}
+		memo.plan[pk] = plan
+	}
+	pt.plan = plan
+	pt.ev = &Eval{Sys: sys, Par: par, N: n, Budget: minInt64(plan.ActBudget)}
+	if !plan.Feasible() {
+		pt.ev = withOOM(*pt.ev, "static memory exceeds device capacity")
+		pt.done = true
+		return pt, nil
+	}
+	var costs *perf.Costs
+	if sys == ZBV {
+		// ZBV retargets the cost model at the wave placement in place
+		// (perf.Costs.WithPlacement mutates the receiver), so it must own
+		// a fresh model rather than a memoized one.
+		costs, err = perf.New(m, mesh)
+	} else {
+		var hit bool
+		costs, hit = memo.costs[par]
+		if !hit {
+			costs, err = perf.New(m, mesh)
+			if err == nil {
+				memo.costs[par] = costs
+			}
+		}
+	}
+	if err != nil {
+		return pt, err
+	}
+	pt.costs = costs
+	if sys == MEPipe {
+		fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
+		grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
+		f, err := memplan.ChooseF(par, fam, grad, plan.ActBudget[0])
+		if err != nil {
+			// No SVPP variant fits the activation budget: the same
+			// memory failure buildSchedule reports, settled before
+			// generation.
+			pt.ev = withOOM(*pt.ev, fmt.Sprintf("%v: %v", err, errs.ErrOOM))
+			pt.done = true
+			return pt, nil
+		}
+		pt.f = f
+		pt.dynW = true
+	}
+	return pt, nil
+}
+
+// withOOM returns a copy of ev marked out of memory for the given reason.
+func withOOM(ev Eval, why string) *Eval {
+	ev.OOM, ev.OOMWhy = true, why
+	return &ev
+}
+
+// fold completes a planned evaluation with its simulation result.
+func fold(ev Eval, res *sim.Result, f int) *Eval {
+	ev.Result = res
+	ev.IterTime = res.IterTime
+	ev.Bubble = res.BubbleRatio
+	ev.PeakAct = res.PeakAct
+	ev.F = f
+	if res.OOM {
+		return withOOM(ev, fmt.Sprintf("activations exceed budget on stage %d", res.OOMStage))
+	}
+	return &ev
 }
 
 // shapeKey identifies a schedule shape: every grid point with the same key
@@ -461,10 +488,7 @@ func (w *sweepWorker) runGroup(ctx context.Context, g *shapeGroup) {
 		s, dynamicW, f, err := buildSchedule(pl.sys, pt.par, pt.n, pt.costs, pt.plan)
 		w.counters.generated.Add(1)
 		if err != nil {
-			ev := *pt.ev
-			ev.OOM = true
-			ev.OOMWhy = err.Error()
-			pt.ev = &ev
+			pt.ev = withOOM(*pt.ev, err.Error())
 			pt.done = true
 			continue
 		}
@@ -501,21 +525,10 @@ func (w *sweepWorker) runGroup(ctx context.Context, g *shapeGroup) {
 			r, err = w.se.Eval(s)
 			w.counters.simulated.Add(1)
 			if err == nil {
-				ev := *pt.ev
-				res := r.Clone()
-				ev.Result = res
-				ev.IterTime = res.IterTime
-				ev.Bubble = res.BubbleRatio
-				ev.PeakAct = res.PeakAct
-				ev.F = f
-				if res.OOM {
-					ev.OOM = true
-					ev.OOMWhy = fmt.Sprintf("activations exceed budget on stage %d", res.OOMStage)
-				}
-				pt.ev = &ev
+				pt.ev = fold(*pt.ev, r.Clone(), f)
 				pt.done = true
-				if !ev.OOM {
-					pl.gate.complete(i, ev.IterTime)
+				if !pt.ev.OOM {
+					pl.gate.complete(i, pt.ev.IterTime)
 				}
 				continue
 			}
@@ -525,7 +538,7 @@ func (w *sweepWorker) runGroup(ctx context.Context, g *shapeGroup) {
 	}
 }
 
-// replay reconstructs the exact sequential SearchContext result from the
+// replay reconstructs the exact sequential search result from the
 // parallel pass's evaluations: it walks the grid in order, re-deriving the
 // best-so-far pruning decisions, and consumes the parallel results only
 // for points sequential search would actually have evaluated.

@@ -12,19 +12,17 @@ import (
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
-	"mepipe/internal/obs"
 )
 
-type nopSink struct{}
-
-func (nopSink) Emit(obs.Event) {}
-
 // TestSweepMatchesSequential is the engine's golden gate: for every preset
-// system, with and without pruning, at 8/16/32 GPUs, the sweep must return
-// bit-identical candidates — contents AND order — to a sequential
-// SearchContext call, along with identical Evaluated/Pruned counters and
-// per-system errors. Any drift between the deduplicated parallel engine
-// and the reference path fails here.
+// system, with and without pruning, at 8/16/32 GPUs, both the multi-system
+// Sweep and the one-system SearchContext must return bit-identical
+// candidates — contents AND order — to the frozen sequential
+// SearchReference, along with identical Evaluated/Pruned counters and
+// per-system errors. SearchReference shares none of the engine's planning
+// memo, dense indices or sessions, so agreement is evidence about the
+// engine; it also keeps the benchmark baseline honest, since a speedup
+// measured against it is one against the same search.
 func TestSweepMatchesSequential(t *testing.T) {
 	m := config.Llama13B()
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
@@ -42,32 +40,10 @@ func TestSweepMatchesSequential(t *testing.T) {
 					t.Fatalf("Sweep returned %d results, want %d", got, want)
 				}
 				for si, sys := range Systems() {
-					// The sequential reference. SearchContext's pruned
-					// branch is fully sequential; its unpruned branch
-					// evaluates independent candidates in a pool — both
-					// are the semantics Sweep must reproduce.
-					ref, refErr := SearchContext(context.Background(), sys, m, cl, tr, sp)
-					got, gotErr := sw.Results[si], sw.Errs[si]
-					if (refErr == nil) != (gotErr == nil) ||
-						(refErr != nil && refErr.Error() != gotErr.Error()) {
-						t.Fatalf("%s: error mismatch: sweep %v, sequential %v", sys, gotErr, refErr)
-					}
-					if got == nil {
-						t.Fatalf("%s: sweep returned no result", sys)
-					}
-					if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
-						t.Errorf("%s: counters (evaluated %d, pruned %d), want (%d, %d)",
-							sys, got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
-					}
-					if len(got.Candidates) != len(ref.Candidates) {
-						t.Fatalf("%s: %d candidates, want %d", sys, len(got.Candidates), len(ref.Candidates))
-					}
-					for i := range ref.Candidates {
-						if !reflect.DeepEqual(got.Candidates[i], ref.Candidates[i]) {
-							t.Fatalf("%s: candidate %d differs:\nsweep:      %+v\nsequential: %+v",
-								sys, i, got.Candidates[i], ref.Candidates[i])
-						}
-					}
+					ref, refErr := SearchReference(context.Background(), sys, m, cl, tr, sp)
+					one, oneErr := SearchContext(context.Background(), sys, m, cl, tr, sp)
+					sameSearch(t, "sweep "+sys.String(), sw.Results[si], sw.Errs[si], ref, refErr)
+					sameSearch(t, "search "+sys.String(), one, oneErr, ref, refErr)
 				}
 				if sw.Stats.GridPoints == 0 {
 					t.Errorf("implausible stats: %+v", sw.Stats)
@@ -92,6 +68,32 @@ func TestSweepMatchesSequential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// sameSearch fails the test unless got/gotErr is byte-identical to the
+// reference search result want/wantErr.
+func sameSearch(t *testing.T, what string, got *SearchResult, gotErr error, want *SearchResult, wantErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) ||
+		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: error mismatch: got %v, reference %v", what, gotErr, wantErr)
+	}
+	if got == nil {
+		t.Fatalf("%s: no result", what)
+	}
+	if got.Evaluated != want.Evaluated || got.Pruned != want.Pruned {
+		t.Errorf("%s: counters (evaluated %d, pruned %d), want (%d, %d)",
+			what, got.Evaluated, got.Pruned, want.Evaluated, want.Pruned)
+	}
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got.Candidates), len(want.Candidates))
+	}
+	for i := range want.Candidates {
+		if !reflect.DeepEqual(got.Candidates[i], want.Candidates[i]) {
+			t.Fatalf("%s: candidate %d differs:\ngot:       %+v\nreference: %+v",
+				what, i, got.Candidates[i], want.Candidates[i])
 		}
 	}
 }
@@ -160,17 +162,5 @@ func TestSweepCancelled(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines leaked: %d running, baseline %d", n, before)
-	}
-}
-
-// TestSweepRejectsSinks: tracing is incompatible with the engine's session
-// reuse and must be rejected up front with ErrIncompatible.
-func TestSweepRejectsSinks(t *testing.T) {
-	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(1)
-	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
-	_, err := Sweep(context.Background(), Systems(), m, cl, tr, DefaultSpace(), WithSink(nopSink{}))
-	if !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("Sweep with sink = %v, want ErrIncompatible", err)
 	}
 }

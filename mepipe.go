@@ -185,6 +185,8 @@ type runConfig struct {
 }
 
 // WithTrace attaches a sink receiving the run's structured span events.
+// Searches and sweeps do not trace (Search rejects it with
+// ErrIncompatible); trace a single Evaluate instead.
 func WithTrace(sink TraceSink) Option {
 	return func(c *runConfig) { c.sink = sink }
 }
@@ -320,8 +322,10 @@ func Evaluate(ctx context.Context, sys System, m Model, cl Cluster, par Parallel
 
 // Search grid-searches the strategy space for one system (§7.3) and returns
 // candidates sorted fastest-feasible-first in a deterministic total order.
-// Cancelling ctx mid-search stops the grid, drains every worker, and
-// returns an error wrapping ErrCancelled.
+// It is a one-system Sweep. Cancelling ctx mid-search stops the grid,
+// drains every worker, and returns an error wrapping ErrCancelled.
+// Searches do not trace: WithTrace is rejected with ErrIncompatible, so
+// trace a single Evaluate of the chosen candidate instead.
 func Search(ctx context.Context, sys System, m Model, cl Cluster, tr Training, sp SearchSpace, opts ...Option) (*SearchResult, error) {
 	var c runConfig
 	for _, fn := range opts {
@@ -334,10 +338,10 @@ func Search(ctx context.Context, sys System, m Model, cl Cluster, tr Training, s
 // deduplicated work plan: schedules are generated and certified once per
 // distinct shape, planning objects are memoized across grid points, and
 // shape groups run on a parallel branch-and-bound worker pool. The result
-// is byte-identical, per system, to a sequential Search call — including
-// candidate order and the Evaluated/Pruned counters — just cheaper to
-// produce (see docs/PERFORMANCE.md). Tracing options are incompatible with
-// the engine's session reuse; use Evaluate with WithTrace instead.
+// is byte-identical, per system, to a Search call — including candidate
+// order and the Evaluated/Pruned counters — while sharing planning work
+// across systems (see docs/PERFORMANCE.md). Sweeps do not trace; trace a single
+// Evaluate with WithTrace instead.
 func Sweep(ctx context.Context, systems []System, m Model, cl Cluster, tr Training, sp SearchSpace) (*SweepResult, error) {
 	return strategy.Sweep(ctx, systems, m, cl, tr, sp)
 }
