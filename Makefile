@@ -74,10 +74,12 @@ bench-serve:
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under
 # internal/opt/testdata must re-certify, re-simulate to its recorded
-# time, and still beat its recorded preset baseline — and a one-round
-# replay of the BENCH_opt harness.
+# time, and still beat its recorded preset baseline — a 10 s run of the
+# Certify-vs-CertifyReference differential fuzzer, and a one-round replay
+# of the BENCH_opt harness.
 opt-smoke:
 	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke' -count=1
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyMatchesReference -fuzztime 10s
 	$(GO) run ./cmd/mepipe-bench -opt -opt-iters 1 -opt-out $(CURDIR)/BENCH_opt_smoke.json
 
 # Optimizer throughput benchmark: replays the checked-in artifact's full

@@ -213,44 +213,62 @@ func (g *graph) edgeKind(from, to int) string {
 }
 
 // checkAcyclic proves deadlock-freedom, filling the certificate's graph
-// statistics, or returns the minimal counterexample cycle. The proof runs
-// on the dense arithmetic op index (no hashing, no per-node allocation);
-// only when a cycle exists — the rare failure path — is the labelled
-// map-based graph rebuilt to extract the same minimal counterexample the
-// original implementation reported.
+// statistics, or returns the minimal counterexample cycle. Both the proof
+// and the counterexample run on the dense arithmetic op index (no hashing,
+// no per-node allocation): the cycle path is how the schedule optimizer
+// rejects most infeasible proposals, so it must be as cheap as the proof.
+// Only tables the dense path does not model rebuild the labelled
+// map-based graph.
 func checkAcyclic(s *sched.Schedule, cert *Certificate) error {
-	ok, handled, err := kahnDense(s, cert)
-	if err != nil {
+	if handled, err := kahnDense(s, cert); handled {
 		return err
-	}
-	if handled && ok {
-		return nil
 	}
 	g, err := buildGraph(s)
 	if err != nil {
 		return err
 	}
-	if !handled {
-		cert.Nodes = len(g.nodes)
-		cert.Edges, cert.CrossEdges = g.edges()
-		if g.residual() == nil {
-			return nil
-		}
-	}
+	cert.Nodes = len(g.nodes)
+	cert.Edges, cert.CrossEdges = g.edges()
 	res := g.residual()
+	if res == nil {
+		return nil
+	}
 	nodes, kinds := g.minimalCycle(res)
 	return &CycleError{Schedule: s.String(), Cycle: nodes, Kind: kinds}
 }
 
-// kahnScratch recycles the dense certification pass's working arrays:
-// sweep workers certify dozens of schedules back to back, and the arrays
-// are shape-sized, so pooling removes certification's entire allocation
-// profile on the hot path.
+// kahnScratch recycles the dense certification passes' working arrays:
+// sweep workers certify dozens of schedules back to back and the
+// optimizer thousands, and the arrays are shape-sized, so pooling removes
+// certification's entire allocation profile on the hot path.
 type kahnScratch struct {
 	seen  []bool
 	next  []int32
 	indeg []int32
 	queue []int32
+	// order lists the dense ids in program position (stage-major, list
+	// order) — buildGraph's node numbering.
+	order []int32
+
+	// The cycle witness's residual subgraph, numbered by residual rank
+	// (program-position order): rank maps a dense id to its rank or -1,
+	// res a rank back to its id. succ[succOff[r]:succOff[r+1]] are r's
+	// residual successors in buildGraph's adjacency order, and succDep
+	// flags the data-dependency ones.
+	rank    []int32
+	res     []int32
+	succOff []int32
+	succ    []int32
+	succDep []bool
+	// BFS state, epoch-stamped so each source starts clean for free.
+	mark, depth, parent, bfsQ []int32
+	cyc, best                 []int32
+
+	// The memory sweep's per-stage family state, indexed by the family's
+	// offset within the stage (see checkMemory).
+	famVal    []int64
+	famLive   []bool
+	famPieces []int32
 }
 
 var kahnPool = sync.Pool{New: func() any { return new(kahnScratch) }}
@@ -265,17 +283,18 @@ func kgrow[T any](s []T, n int) []T {
 }
 
 // kahnDense runs Kahn's algorithm over the dense op index, filling the
-// certificate's node/edge statistics. The edge universe is never
-// materialized: in-degrees come from the schedule's cached dependency
-// table row widths, successors are walked through the table's dependents
-// CSR plus a per-stage program-order chain, and the edge statistics are
-// cached on the table itself. It reports ok=false when the graph has a
-// cycle (counterexample extraction is the caller's job) and handled=false
-// on tables the fast path does not model — incomplete op universes or
+// certificate's node/edge statistics, and on a cycle extracts the same
+// minimal counterexample minimalCycle would. The edge universe is never
+// materialized for the proof: in-degrees come from the schedule's cached
+// dependency table row widths, successors are walked through the table's
+// dependents CSR plus a per-stage program-order chain, and the edge
+// statistics are cached on the table itself. It reports handled=false on
+// tables the fast path does not model — incomplete op universes or
 // out-of-shape deps, both only reachable with AssumeComplete or
-// hand-built placements — which fall back to the labelled map-based
+// hand-built placements, and cyclic schedules holding an op with a stray
+// Piece the index ignores — which fall back to the labelled map-based
 // graph.
-func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err error) {
+func kahnDense(s *sched.Schedule, cert *Certificate) (handled bool, err error) {
 	t := s.DepTable()
 	x := t.Ix
 	total := x.Total()
@@ -288,27 +307,31 @@ func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err erro
 		n += len(s.Stages[k])
 	}
 	if n != total || t.Neg > 0 {
-		return false, false, nil
+		return false, nil
 	}
 	sc := kahnPool.Get().(*kahnScratch)
 	defer kahnPool.Put(sc)
 	sc.seen = kgrow(sc.seen, total)
-	for i := range sc.seen {
-		sc.seen[i] = false
-	}
+	clear(sc.seen)
 	sc.next = kgrow(sc.next, total)
 	sc.indeg = kgrow(sc.indeg, total)
+	sc.order = kgrow(sc.order, total)
 	// One pass over the stages pins the op universe (every op indexes,
 	// no duplicates — with n == total that makes coverage exact), seeds
 	// in-degrees from the table rows, and chains program order.
+	pos := 0
+	stray := false
 	for k, ops := range s.Stages {
 		prev := int32(-1)
 		for idx, op := range ops {
 			id := x.ID(k, op)
 			if id < 0 || sc.seen[id] {
-				return false, false, nil
+				return false, nil
 			}
+			stray = stray || op.Piece != 0 && op.Kind != sched.WPiece
 			sc.seen[id] = true
+			sc.order[pos] = id
+			pos++
 			deg := t.Off[id+1] - t.Off[id]
 			if idx > 0 {
 				deg++
@@ -348,5 +371,149 @@ func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err erro
 			dec(j)
 		}
 	}
-	return done == total, true, nil
+	if done == total {
+		return true, nil
+	}
+	if stray {
+		// The dense index folds a stray Piece away, but the map graph
+		// keys nodes by the full op; let it report exactly what it
+		// always has.
+		return false, nil
+	}
+	nodes, kinds := sc.minimalCycle(t)
+	return true, &CycleError{Schedule: s.String(), Cycle: nodes, Kind: kinds}
+}
+
+// minimalCycle is graph.minimalCycle on the dense index, run after a
+// failed kahnDense pass (whose leftover in-degrees mark the residual). It
+// builds only the residual subgraph, numbering nodes in program position
+// order and listing each node's successors in buildGraph's adjacency
+// order (per target in program order: its order edge, then its table
+// deps), so every source order, BFS visit order, tie-break and edge label
+// — and with them the counterexample — are identical.
+func (sc *kahnScratch) minimalCycle(t *sched.DepTable) ([]Node, []string) {
+	sc.rank = kgrow(sc.rank, len(sc.order))
+	sc.res = sc.res[:0]
+	for _, id := range sc.order {
+		if sc.indeg[id] == 0 {
+			sc.rank[id] = -1
+			continue
+		}
+		sc.rank[id] = int32(len(sc.res))
+		sc.res = append(sc.res, id)
+	}
+	// A counting sort of the residual edges by source, scattering in
+	// target order, reproduces buildGraph's append order per row; deps
+	// outside the residual have rank -1 and drop out.
+	nr := len(sc.res)
+	sc.succOff = kgrow(sc.succOff, nr+1)
+	clear(sc.succOff)
+	sc.forEachEdge(t, func(from, _ int32, _ bool) { sc.succOff[from+1]++ })
+	for r := 0; r < nr; r++ {
+		sc.succOff[r+1] += sc.succOff[r]
+	}
+	ne := int(sc.succOff[nr])
+	sc.succ = kgrow(sc.succ, ne)
+	sc.succDep = kgrow(sc.succDep, ne)
+	sc.parent = kgrow(sc.parent, nr) // cursor until the BFS needs it
+	copy(sc.parent, sc.succOff[:nr])
+	sc.forEachEdge(t, func(from, to int32, dep bool) {
+		at := sc.parent[from]
+		sc.succ[at], sc.succDep[at] = to, dep
+		sc.parent[from]++
+	})
+
+	sc.mark = kgrow(sc.mark, nr)
+	clear(sc.mark)
+	sc.depth = kgrow(sc.depth, nr)
+	const maxSources = 256
+	sources := min(nr, maxSources)
+	best := sc.best[:0]
+	for src := 0; src < sources; src++ {
+		cyc := sc.bfsCycle(int32(src), len(best))
+		if cyc != nil && (len(best) == 0 || len(cyc) < len(best)) {
+			best = append(best[:0], cyc...)
+			if len(best) == 2 {
+				break
+			}
+		}
+	}
+	if len(best) == 0 {
+		// Unreachable: a residual always closes a cycle. Report the
+		// first residual node against itself, as minimalCycle does.
+		best = append(best, 0)
+	}
+	sc.best = best
+	nodes := make([]Node, len(best))
+	kinds := make([]string, len(best))
+	for i, r := range best {
+		k, op := t.Ix.At(sc.res[r])
+		nodes[i] = Node{k, op}
+		kinds[i] = sc.edgeKind(r, best[(i+1)%len(best)])
+	}
+	return nodes, kinds
+}
+
+// forEachEdge calls fn for every residual edge, grouped by target rank
+// in order: the program-order edge first, then the table deps in Deps
+// order. A program-order successor of a residual node is residual (its
+// in-edge never drains), so each stage's residual is a suffix of its
+// list and a node's residual predecessor, if any, is the previous rank
+// when that lies on the same stage.
+func (sc *kahnScratch) forEachEdge(t *sched.DepTable, fn func(from, to int32, dep bool)) {
+	for r, id := range sc.res {
+		if r > 0 && t.Ix.Stage(sc.res[r-1]) == t.Ix.Stage(id) {
+			fn(int32(r-1), int32(r), false)
+		}
+		for _, d := range t.ID[t.Off[id]:t.Off[id+1]] {
+			if from := sc.rank[d]; from >= 0 {
+				fn(from, int32(r), true)
+			}
+		}
+	}
+}
+
+// bfsCycle is graph.bfsCycle on the residual CSR: a shortest cycle
+// through src (src first) that beats bound (0 = unbounded), or nil. The
+// result aliases sc.cyc.
+func (sc *kahnScratch) bfsCycle(src int32, bound int) []int32 {
+	epoch := src + 1 // one BFS per source, so the source numbers the epoch
+	sc.mark[src], sc.depth[src] = epoch, 0
+	q := append(sc.bfsQ[:0], src)
+	for h := 0; h < len(q); h++ {
+		n := q[h]
+		if bound > 0 && int(sc.depth[n])+1 >= bound {
+			continue // cannot beat the best cycle found so far
+		}
+		for _, t := range sc.succ[sc.succOff[n]:sc.succOff[n+1]] {
+			if t == src {
+				// Close the cycle: walk parents back from n to src.
+				l := int(sc.depth[n]) + 1
+				cyc := kgrow(sc.cyc, l)
+				for cur, i := n, l-1; i > 0; cur, i = sc.parent[cur], i-1 {
+					cyc[i] = cur
+				}
+				cyc[0] = src
+				sc.cyc, sc.bfsQ = cyc, q
+				return cyc
+			}
+			if sc.mark[t] != epoch {
+				sc.mark[t], sc.depth[t], sc.parent[t] = epoch, sc.depth[n]+1, n
+				q = append(q, t)
+			}
+		}
+	}
+	sc.bfsQ = q
+	return nil
+}
+
+// edgeKind labels the from -> to residual edge ("dep" wins when both a
+// program-order and a data edge connect the pair), as graph.edgeKind.
+func (sc *kahnScratch) edgeKind(from, to int32) string {
+	for j := sc.succOff[from]; j < sc.succOff[from+1]; j++ {
+		if sc.succ[j] == to && sc.succDep[j] {
+			return "dep"
+		}
+	}
+	return "order"
 }

@@ -8,9 +8,12 @@ package verify
 // against the code it actually replaced, and so the equivalence tests pin
 // the dense certifier against an independent implementation.
 //
-// buildGraph, residual, and minimalCycle are shared with the optimized
-// path's diagnostic fallback — they ARE the pre-sweep implementations,
-// unchanged; only the acyclicity fast path (kahnDense) is new.
+// buildGraph, residual, minimalCycle and sweep ARE the pre-sweep
+// implementations, unchanged. Certify reaches them only as a fallback for
+// tables the dense op index does not model; its own proof, cycle witness
+// and memory sweep (kahnDense, kahnScratch.minimalCycle, checkMemory) run
+// on the dense index and are pinned to this file by
+// TestCertifyMatchesReference.
 //
 // Nothing here is reachable from production paths; do not "optimize" this
 // file — its value is that it does not change.

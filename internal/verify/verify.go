@@ -184,7 +184,7 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 	if err := checkAcyclic(s, cert); err != nil {
 		return nil, err
 	}
-	if err := sweep(s, opts.Budget, cert); err != nil {
+	if err := checkMemory(s, opts.Budget, cert); err != nil {
 		return nil, err
 	}
 	return cert, nil
