@@ -95,12 +95,13 @@ opt-regen:
 	$(GO) test ./internal/opt -run TestWriteDiscovered -write-discovered
 
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
-# session/batch equivalence tables and edge-case regressions, a short run
-# of the differential fuzzer, the discovered-artifact session replay
-# gate, and a small -sim bench pass (which cross-checks every candidate
-# bitwise before timing).
+# session/batch equivalence tables against the reference runner, the
+# pinned trace digests and other trace tests, edge-case regressions, a
+# short run of the differential fuzzer, the discovered-artifact session
+# replay gate, and a small -sim bench pass (which cross-checks every
+# candidate bitwise before timing).
 sim-smoke:
-	$(GO) test ./internal/sim -run 'TestSession|TestEvaluate|TestDynamicOOM|TestStats|TestTraceWait' -count=1
+	$(GO) test ./internal/sim -run 'TestSession|TestEvaluate|TestDynamicOOM|TestStats|TestTrace' -count=1
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzIncrementalEquivalence -fuzztime 10s
 	$(GO) test ./internal/opt -run TestDiscoveredReplaysThroughSession -count=1
 	$(GO) run ./cmd/mepipe-bench -sim -sim-candidates 64 -sim-out $(CURDIR)/BENCH_sim_smoke.json

@@ -129,7 +129,7 @@ func simCandidates(seed *sched.Schedule, o sim.Options, n int) ([]*sched.Schedul
 		}
 		co := o
 		co.Sched = cand
-		if _, err := sim.Run(co); err != nil {
+		if _, err := sim.RunReference(co); err != nil {
 			continue
 		}
 		out = append(out, cand)
@@ -142,10 +142,10 @@ func simCandidates(seed *sched.Schedule, o sim.Options, n int) ([]*sched.Schedul
 }
 
 // runSimBench measures candidate-evaluation throughput at the artifact's
-// canonical point: full sim.Run replay vs one incremental Session vs
-// batched EvaluateMany, over the same deterministic candidate set. It
-// refuses to report if any incremental result diverges bitwise from the
-// full replay.
+// canonical point: full replay by the reference runner (sim.RunReference)
+// vs one incremental Session vs batched EvaluateMany, over the same
+// deterministic candidate set. It refuses to report if any incremental
+// result diverges bitwise from the full replay.
 func runSimBench(candidates int, out string) error {
 	a, err := opt.Discovered()
 	if err != nil {
@@ -172,7 +172,7 @@ func runSimBench(candidates int, out string) error {
 	for i, c := range cands {
 		co := o
 		co.Sched = c
-		full, err := sim.Run(co)
+		full, err := sim.RunReference(co)
 		if err != nil {
 			return fmt.Errorf("full replay of candidate %d: %w", i, err)
 		}
@@ -209,7 +209,7 @@ func runSimBench(candidates int, out string) error {
 		if row.FullPerSec, err = timeLoop(func(i int) error {
 			co := o
 			co.Sched = cands[i]
-			_, err := sim.Run(co)
+			_, err := sim.RunReference(co)
 			return err
 		}); err != nil {
 			return row, err

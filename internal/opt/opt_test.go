@@ -312,7 +312,7 @@ func opMultiset(s *sched.Schedule) []map[sched.Op]int {
 
 // TestDiscoveredReplaysThroughSession pins the fast-evaluation layer to
 // the checked-in artifact: the incremental session and the batched
-// evaluator must reproduce the full simulator bitwise on the discovered
+// evaluator must reproduce the reference runner bitwise on the discovered
 // schedule, and all of them must land on the recorded iteration time.
 // This is the regression gate for the session fast path at the exact
 // point the optimizer bench replays.
@@ -326,7 +326,7 @@ func TestDiscoveredReplaysThroughSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := sim.Options{Sched: s, Costs: a.Costs(), MakespanOnly: true}
-	full, err := sim.Run(opt)
+	full, err := sim.RunReference(opt)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}

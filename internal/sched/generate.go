@@ -62,6 +62,12 @@ func (u UniformEst) MicroInvariantCosts() bool { return true }
 // optimization, since the model vouches the twin's result IS the op's
 // result. Models that cannot promise this simply don't implement the
 // interface and keep the per-op path.
+//
+// Go promotes methods of embedded fields, so a model that embeds an
+// implementation (say, a struct embedding UniformEst) inherits its promise
+// even when its own overrides read Op.Micro. Such a model must override
+// MicroInvariantCosts to return false, or the twin copies silently give
+// every micro-batch micro 0's costs.
 type MicroInvariant interface {
 	MicroInvariantCosts() bool
 }

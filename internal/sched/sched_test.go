@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"mepipe/internal/errs"
 )
 
 func TestKindString(t *testing.T) {
@@ -170,6 +173,29 @@ func TestValidateCatchesFusedSplitMismatch(t *testing.T) {
 	s.SplitBW = true // claims split but contains fused B ops
 	if err := s.Validate(); err == nil {
 		t.Error("validation accepted fused ops in a split schedule")
+	}
+}
+
+// TestValidateCatchesStrayPiece: Piece is 0 on every op but WPiece. A
+// stray Piece elsewhere names an op no dependency refers to, so it must
+// fail validation instead of reaching a simulator.
+func TestValidateCatchesStrayPiece(t *testing.T) {
+	s, err := DAPPLE(2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for i, op := range s.Stages[0] {
+		if op.Kind == F && op.Micro == 1 {
+			s.Stages[0][i].Piece = 3
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no F(m1) on stage 0")
+	}
+	if err := s.Validate(); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("validation of a stray Piece: got %v, want ErrIncompatible", err)
 	}
 }
 

@@ -73,6 +73,9 @@ func (s *Schedule) checkShape(stage int, op Op) error {
 	if op.Micro < 0 || op.Micro >= s.N || op.Slice < 0 || op.Slice >= s.S || op.Chunk < 0 || op.Chunk >= s.V {
 		return fmt.Errorf("sched: %s stage %d: op %s out of range: %w", s, stage, op, errs.ErrIncompatible)
 	}
+	if op.Kind != WPiece && op.Piece != 0 {
+		return fmt.Errorf("sched: %s stage %d: op %s has piece %d (only WPiece ops have pieces): %w", s, stage, op, op.Piece, errs.ErrIncompatible)
+	}
 	switch op.Kind {
 	case F:
 	case B:

@@ -22,6 +22,41 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
+// cancelSink cancels its run's context once it has seen after events.
+type cancelSink struct {
+	n, after int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelSink) Emit(obs.Event) {
+	c.n++
+	if c.n == c.after {
+		c.cancel()
+	}
+}
+
+// TestRunContextCancelledTraced: a traced run checks its context every 256
+// executed ops, so a sink that cancels mid-run stops it with ErrCancelled
+// in both static and dynamic mode.
+func TestRunContextCancelledTraced(t *testing.T) {
+	s, err := sched.MEPipe(4, 1, 2, 8, 0, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dynamicW := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancelSink{after: 10, cancel: cancel}
+		_, err := RunContext(ctx, Options{Sched: s, Costs: Unit(), DynamicW: dynamicW, Trace: sink})
+		cancel()
+		if !errors.Is(err, errs.ErrCancelled) {
+			t.Fatalf("dynamicW=%v: traced RunContext = %v, want ErrCancelled", dynamicW, err)
+		}
+		if sink.n < sink.after {
+			t.Fatalf("dynamicW=%v: run stopped after %d events, before the sink cancelled", dynamicW, sink.n)
+		}
+	}
+}
+
 func TestRunWrapsIncompatible(t *testing.T) {
 	s, err := sched.SVPP(sched.SVPPOptions{P: 2, V: 1, S: 2, N: 2})
 	if err != nil {

@@ -1,19 +1,25 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
-// engState is the Session's dynamic-mode (§5) execution engine: a dense
-// replay of the runner's event loop over the session's id tables. Dynamic W
-// drain order depends on runtime decisions across stages, so there is no
-// local window to re-propagate — instead the engine mirrors the runner
-// op-for-op (same tie-breaks, same math.Max calls, same epsilon) on arrays
-// that are allocated once and reused across Evals.
+// engState is the Session's event-loop engine: a dense replay of the
+// reference runner's loop over the session's id tables, on arrays that are
+// allocated once and reused across runs. It serves the two jobs the
+// incremental static solver cannot: dynamic mode (§5), whose W drain order
+// depends on runtime decisions across stages, and traced runs in either
+// mode, whose events must come out in execution order. Static mode runs W
+// ops at their list positions; queueing and drains happen only under
+// DynamicW. The engine mirrors the runner op-for-op (same tie-breaks, same
+// math.Max calls, same epsilons), so Results and event streams are
+// bitwise-identical to RunReference.
 type engState struct {
 	cursor []int // per stage: position of the next scheduled (non-W) op
 	free   []float64
@@ -28,6 +34,7 @@ type engState struct {
 	ep     uint32
 	oom    bool
 	oomAt  int
+	sink   obs.Sink // nil on untraced runs
 }
 
 type wRef struct {
@@ -35,12 +42,16 @@ type wRef struct {
 	ready float64
 }
 
-func (se *Session) runEngine() error {
+// runEngine executes the bound order once, emitting events into sink when
+// it is non-nil. ctx is checked every 256 executed ops.
+func (se *Session) runEngine(ctx context.Context, sink obs.Sink) error {
 	e := se.eng
 	if e == nil {
 		e = &engState{}
 		se.eng = e
 	}
+	e.sink = sink
+	defer func() { e.sink = nil }()
 	e.cursor = sgrow(e.cursor, se.P)
 	e.free = sgrow(e.free, se.P)
 	e.comp = sgrow(e.comp, se.P)
@@ -71,6 +82,11 @@ func (se *Session) runEngine() error {
 	}
 	done := 0
 	for done < se.n {
+		// Amortise the context check: once every 256 executed ops is
+		// cheap but still bounds cancellation latency for huge grids.
+		if done&0xff == 0 && ctx.Err() != nil {
+			return fmt.Errorf("sim: run %w: %v", errs.ErrCancelled, ctx.Err())
+		}
 		k, ok := se.engNext()
 		if !ok {
 			return fmt.Errorf("sim: session: deadlock with %d/%d ops executed (schedule order violates dependencies): %w", done, se.n, errs.ErrUncertified)
@@ -80,10 +96,13 @@ func (se *Session) runEngine() error {
 	return nil
 }
 
-// engSkip advances stage k's cursor past statically-placed W/WPiece entries;
-// the engine executes those from the per-stage queue instead, exactly as
-// the runner strips them from its order.
+// engSkip advances stage k's cursor past statically-placed W/WPiece entries
+// in dynamic mode; the engine executes those from the per-stage queue
+// instead, exactly as the runner strips them from its order.
 func (se *Session) engSkip(k int) {
+	if !se.dynamicW {
+		return
+	}
 	e := se.eng
 	ord := se.order[k]
 	c := e.cursor[k]
@@ -159,20 +178,62 @@ func (se *Session) engExecute(k int) int {
 			if n := se.engFillGap(k, start, id); n > 0 {
 				return n
 			}
+			if e.sink != nil {
+				se.engTraceWait(k, id, start)
+			}
 			e.cursor[k]++
 			se.engSkip(k)
-			se.engRunOp(k, id, start)
+			se.engRunOp(k, id, start, "")
 			return 1
 		}
 		if e.wqHead[k] < len(e.wq[k]) {
-			return se.engPopW(k)
+			return se.engPopW(k, "drain-gap")
 		}
 		return 0
 	}
 	if e.wqHead[k] < len(e.wq[k]) {
-		return se.engPopW(k)
+		return se.engPopW(k, "drain-tail")
 	}
 	return 0
+}
+
+// engTraceWait emits the comm events feeding op id and classifies any idle
+// gap before start as a dependency or communication stall.
+func (se *Session) engTraceWait(k int, id int32, start float64) {
+	const eps = 1e-12
+	e := se.eng
+	op := se.opsl[id]
+	depReady := 0.0 // latest dependency finish, communication excluded
+	for ed := se.depOff[id]; ed < se.depOff[id+1]; ed++ {
+		d := se.depID[ed]
+		f := e.fin[d]
+		if f > depReady {
+			depReady = f
+		}
+		if from := int(se.stg[d]); from != k {
+			var bytes int64
+			if be, ok := se.opt.Costs.(BytesEstimator); ok {
+				bytes = be.CommBytes(from, k, se.opsl[d])
+			}
+			e.sink.Emit(obs.Event{
+				Kind: obs.EvComm, Stage: k, From: from, Op: op,
+				Start: f, End: f + se.depComm[ed], Bytes: bytes,
+			})
+		}
+	}
+	if start <= e.free[k]+eps {
+		return // no idle gap
+	}
+	cause := "dep"
+	if depReady <= e.free[k]+eps {
+		// Inputs were computed before the stage went idle; the wait is
+		// purely tensors in flight.
+		cause = "comm"
+	}
+	e.sink.Emit(obs.Event{
+		Kind: obs.EvStall, Stage: k, From: k, Op: op,
+		Start: e.free[k], End: start, Cause: cause,
+	})
 }
 
 // engFillGap mirrors the runner's fillGap: drain a queued W that fits the
@@ -188,7 +249,7 @@ func (se *Session) engFillGap(k int, start float64, nextID int32) int {
 	dur := se.dur[w.id]
 	const eps = 1e-9
 	if wStart+dur <= start+eps {
-		return se.engPopW(k)
+		return se.engPopW(k, "drain-gap")
 	}
 	if se.hasBudget {
 		var need int64
@@ -202,13 +263,22 @@ func (se *Session) engFillGap(k int, start float64, nextID int32) int {
 				// allocation flag the OOM (see runner.fillGap).
 				return 0
 			}
-			return se.engPopW(k)
+			if e.sink != nil {
+				e.sink.Emit(obs.Event{
+					Kind: obs.EvBudget, Stage: k, From: k, Op: se.opsl[nextID],
+					Start: e.free[k], End: e.free[k],
+					Bytes: need, Live: e.live[k],
+				})
+			}
+			return se.engPopW(k, "drain-budget")
 		}
 	}
 	return 0
 }
 
-func (se *Session) engPopW(k int) int {
+// engPopW executes the head of stage k's W queue; cause tags the drain in
+// traces.
+func (se *Session) engPopW(k int, cause string) int {
 	e := se.eng
 	w := e.wq[k][e.wqHead[k]]
 	e.wqHead[k]++
@@ -217,11 +287,13 @@ func (se *Session) engPopW(k int) int {
 		e.wqHead[k] = 0
 	}
 	start := max(e.free[k], w.ready)
-	se.engRunOp(k, w.id, start)
+	se.engRunOp(k, w.id, start, cause)
 	return 1
 }
 
-func (se *Session) engRunOp(k int, id int32, start float64) {
+// engRunOp executes op id at start, updating time, memory and the W queue.
+// cause is non-empty for weight-gradient work drained by the dynamic engine.
+func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 	e := se.eng
 	dur := se.dur[id]
 	end := start + dur
@@ -232,25 +304,37 @@ func (se *Session) engRunOp(k int, id int32, start float64) {
 	}
 	e.fin[id] = end
 	e.done[id] = e.ep
+	if e.sink != nil {
+		e.sink.Emit(obs.Event{
+			Kind: obs.EvOp, Stage: k, From: k, Op: se.opsl[id],
+			Start: start, End: end, Cause: cause,
+		})
+	}
 	f := se.famID[id]
 	switch se.opsl[id].Kind {
 	case sched.F:
-		se.engAlloc(k, f, se.memB[id])
+		se.engAlloc(k, id, se.memB[id])
 	case sched.B:
-		se.engRelease(k, f)
+		se.engRelease(k, id)
 	case sched.BAct:
-		se.engAlloc(k, f, se.memB[id])
-		se.engEnqueueW(k, id, end)
+		se.engAlloc(k, id, se.memB[id])
+		if se.dynamicW {
+			se.engEnqueueW(k, id, end)
+		}
 	case sched.W:
-		se.touchFam(f)
-		e.drain[k] -= se.famAcc[f]
-		se.engRelease(k, f)
+		if se.dynamicW {
+			se.touchFam(f)
+			e.drain[k] -= se.famAcc[f]
+		}
+		se.engRelease(k, id)
 	case sched.WPiece:
 		se.touchFam(f)
 		se.famCnt[f]++
 		if int(se.famCnt[f]) == se.wPieces {
-			e.drain[k] -= se.famAcc[f]
-			se.engRelease(k, f)
+			if se.dynamicW {
+				e.drain[k] -= se.famAcc[f]
+			}
+			se.engRelease(k, id)
 		}
 	}
 }
@@ -267,17 +351,27 @@ func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	}
 }
 
-func (se *Session) engAlloc(k int, f int32, bytes int64) {
+// engAlloc charges bytes to op id's family on stage k.
+func (se *Session) engAlloc(k int, id int32, bytes int64) {
 	e := se.eng
+	f := se.famID[id]
 	se.touchFam(f)
 	se.famAcc[f] += bytes
 	e.live[k] += bytes
 	if e.live[k] > e.peak[k] {
 		e.peak[k] = e.live[k]
 	}
+	if e.sink != nil && bytes != 0 {
+		e.sink.Emit(obs.Event{
+			Kind: obs.EvAlloc, Stage: k, From: k, Op: se.opsl[id].Key(),
+			Start: e.free[k], End: e.free[k], Bytes: bytes, Live: e.live[k],
+		})
+	}
 	if se.hasBudget && e.live[k] > se.budget[k] && !e.oom {
-		// Dynamic mode is OOM exactly when draining every queued weight
-		// gradient could not bring the stage back under budget.
+		// Static schedules simply exceed (drain stays zero outside
+		// dynamic mode). Dynamic mode is OOM exactly when draining every
+		// queued weight gradient could not bring the stage back under
+		// budget.
 		if e.live[k]-e.drain[k] > se.budget[k] {
 			e.oom = true
 			e.oomAt = k
@@ -285,16 +379,25 @@ func (se *Session) engAlloc(k int, f int32, bytes int64) {
 	}
 }
 
-func (se *Session) engRelease(k int, f int32) {
+// engRelease frees op id's family retention on stage k.
+func (se *Session) engRelease(k int, id int32) {
 	e := se.eng
+	f := se.famID[id]
 	se.touchFam(f)
-	e.live[k] -= se.famAcc[f]
+	freed := se.famAcc[f]
+	e.live[k] -= freed
 	se.famAcc[f] = 0
+	if e.sink != nil && freed != 0 {
+		e.sink.Emit(obs.Event{
+			Kind: obs.EvFree, Stage: k, From: k, Op: se.opsl[id].Key(),
+			Start: e.free[k], End: e.free[k], Bytes: freed, Live: e.live[k],
+		})
+	}
 }
 
-// assembleDynamic writes the Result from the engine's per-stage state in
+// assembleEngine writes the Result from the engine's per-stage state in
 // the runner's result() float-operation order.
-func (se *Session) assembleDynamic() {
+func (se *Session) assembleEngine() {
 	e := se.eng
 	res := &se.res
 	res.SpansRecorded = se.record

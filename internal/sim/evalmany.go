@@ -12,38 +12,11 @@ import (
 	"mepipe/internal/sched"
 )
 
-// sessionPool recycles Session capacity across Evaluate/EvaluateMany calls:
-// rebinding a pooled session reuses its id maps, edge tables, and result
-// buffers, which removes the dominant allocations of one-shot evaluation.
+// sessionPool recycles Session capacity across RunContext/EvaluateMany
+// calls: rebinding a pooled session reuses its id maps, edge tables, and
+// result buffers, which removes the dominant allocations of one-shot
+// evaluation.
 var sessionPool = sync.Pool{New: func() any { return &Session{} }}
-
-// Evaluate is RunContext through the session fast path: identical Results
-// (bitwise — the differential fuzzer gates this), far fewer allocations.
-// Traced runs fall back to RunContext, which owns span/event emission.
-// Unlike RunContext, cancellation is only checked on entry — a single
-// evaluation is short, so mid-run cancellation buys nothing.
-//
-// The returned Result is the caller's to keep.
-//
-//mepipe:deterministic
-func Evaluate(ctx context.Context, opt Options) (*Result, error) {
-	if opt.Trace != nil {
-		return RunContext(ctx, opt)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sim: evaluate %w: %v", errs.ErrCancelled, err)
-	}
-	se := sessionPool.Get().(*Session)
-	defer sessionPool.Put(se)
-	if err := se.init(opt); err != nil {
-		return nil, err
-	}
-	r, err := se.Eval(opt.Sched)
-	if err != nil {
-		return nil, err
-	}
-	return cloneResult(r), nil
-}
 
 // EvaluateMany simulates every schedule under the same Options (opt.Sched
 // is ignored), amortizing session construction across a bounded worker
@@ -71,16 +44,16 @@ func EvaluateMany(ctx context.Context, scheds []*sched.Schedule, opt Options, wo
 		workers = len(scheds)
 	}
 	var cancelled atomic.Bool
+	var next atomic.Int64
 	if workers <= 1 {
-		evalWorker(ctx, scheds, results, opt, &cancelled)
+		evalWorker(ctx, scheds, results, opt, &cancelled, &next)
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				evalWorkerShared(ctx, scheds, results, opt, &cancelled, &next)
+				evalWorker(ctx, scheds, results, opt, &cancelled, &next)
 			}()
 		}
 		wg.Wait()
@@ -91,23 +64,10 @@ func EvaluateMany(ctx context.Context, scheds []*sched.Schedule, opt Options, wo
 	return results, nil
 }
 
-// evalWorker evaluates every schedule serially with one pooled session.
-func evalWorker(ctx context.Context, scheds []*sched.Schedule, results []*Result, opt Options, cancelled *atomic.Bool) {
-	se := sessionPool.Get().(*Session)
-	defer sessionPool.Put(se)
-	bound := false
-	for i := range scheds {
-		if ctx.Err() != nil {
-			cancelled.Store(true)
-			return
-		}
-		results[i] = evalOne(se, &bound, opt, scheds[i])
-	}
-}
-
-// evalWorkerShared pulls indices from a shared cursor (the same chokepoint
-// shape as internal/opt's worker pool).
-func evalWorkerShared(ctx context.Context, scheds []*sched.Schedule, results []*Result, opt Options, cancelled *atomic.Bool, next *atomic.Int64) {
+// evalWorker evaluates schedules with one pooled session, pulling indices
+// from a shared cursor (the same chokepoint shape as internal/opt's worker
+// pool). A single worker runs it inline.
+func evalWorker(ctx context.Context, scheds []*sched.Schedule, results []*Result, opt Options, cancelled *atomic.Bool, next *atomic.Int64) {
 	se := sessionPool.Get().(*Session)
 	defer sessionPool.Put(se)
 	bound := false

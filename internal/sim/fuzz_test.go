@@ -12,7 +12,7 @@ import (
 // FuzzIncrementalEquivalence is the differential gate behind the Session
 // fast path: for arbitrary shapes, cost models, budgets, modes, and move
 // sequences, the incremental evaluation must be bitwise-identical to a
-// fresh full replay — including agreeing on which orders deadlock and with
+// fresh full replay by the reference runner — including agreeing on which orders deadlock and with
 // what error class. Byte layout:
 //
 //	[0..5]  shape + mode header (P, S, N, split/pieces/dynamic/makespan,
@@ -92,7 +92,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			sessDisplace(ops, from, to)
 			fullOpt := opt
 			fullOpt.Sched = cur
-			full, fullErr := Run(fullOpt)
+			full, fullErr := RunReference(fullOpt)
 			inc, incErr := se.Eval(cur)
 			if (fullErr == nil) != (incErr == nil) {
 				t.Fatalf("move %d: full err %v, incremental err %v", i, fullErr, incErr)

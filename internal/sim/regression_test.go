@@ -30,6 +30,10 @@ func (c hugeFCosts) ActBytes(k int, f sched.Op) int64 {
 
 func (c hugeFCosts) GradBytes(int, sched.Op) int64 { return 1 }
 
+// MicroInvariantCosts withdraws the promise hugeFCosts would otherwise
+// inherit from the embedded UniformEst: ActBytes singles out one micro.
+func (hugeFCosts) MicroInvariantCosts() bool { return false }
+
 // TestDynamicOOMUncoverableOvershoot is the satellite-1 regression: when an
 // admission overshoots the budget by more than draining every queued W
 // could free, the run must flag OOM at the admitting op — without first
@@ -115,6 +119,39 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 	}
 }
 
+// TestStrayPieceRejected: a non-WPiece op carrying a Piece must be refused
+// the same way by every entry point. Before Validate checked it, the
+// reference runner deadlocked on it while the session simulated it as if
+// Piece were 0.
+func TestStrayPieceRejected(t *testing.T) {
+	s, err := sched.DAPPLE(2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range s.Stages[0] {
+		if op.Kind == sched.F && op.Micro == 1 {
+			s.Stages[0][i].Piece = 3
+		}
+	}
+	opt := Options{Sched: s, Costs: Unit()}
+	if _, err := RunReference(opt); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("RunReference: got %v, want ErrIncompatible", err)
+	}
+	if _, err := Run(opt); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("Run: got %v, want ErrIncompatible", err)
+	}
+	if _, err := RunContext(context.Background(), Options{Sched: s, Costs: Unit(), Trace: nopSink{}}); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("traced RunContext: got %v, want ErrIncompatible", err)
+	}
+	if _, err := NewSession(opt); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("NewSession: got %v, want ErrIncompatible", err)
+	}
+	rs, err := EvaluateMany(context.Background(), []*sched.Schedule{s}, Options{Costs: Unit()}, 1)
+	if err != nil || rs[0] != nil {
+		t.Errorf("EvaluateMany: got %v, %v; want a nil entry", rs, err)
+	}
+}
+
 // TestStatsRefuseMakespanOnly is the satellite-2 pin: statistics over a
 // span-less result fail with a classifiable errs.ErrIncompatible instead
 // of returning all-idle/all-tail garbage.
@@ -169,11 +206,11 @@ func TestStatsRefuseMakespanOnly(t *testing.T) {
 	}
 }
 
-// TestTraceWaitReusesDepScratch is the satellite-3 pin: the traced hot loop
-// must reuse the runner's dependency scratch rather than allocating one
-// Deps walk per traced op. We bound the allocation *overhead* of tracing
-// (with a no-op sink) by a small fraction of the op count — the old code's
-// per-op allocation made it scale 1:1 with ops.
+// TestTraceWaitReusesDepScratch pins that tracing does not allocate per
+// op: the traced engine walks the session's dense dependency rows rather
+// than re-deriving Deps for each traced op. We bound the allocation
+// *overhead* of tracing (with a no-op sink) by a small fraction of the op
+// count — a per-op allocation would make it scale 1:1 with ops.
 func TestTraceWaitReusesDepScratch(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 6, 0, 4, nil)
 	if err != nil {

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
@@ -13,9 +15,15 @@ import (
 // edited copies of the schedule incrementally. The schedule optimizer's
 // moves (swap, shift, rebalance) touch a handful of list positions; instead
 // of replaying every op, Eval diffs the new order against the previous one
-// and re-propagates finish times only through the affected window. The
-// result is guaranteed bitwise-identical to sim.Run on the same Options —
-// the differential fuzzer in fuzz_test.go holds that gate closed.
+// and re-propagates finish times only through the affected window. Dynamic
+// mode runs the session's event-loop engine (engine.go) instead.
+//
+// Sessions are the only simulator behind the production entry points: Run
+// and RunContext bind a pooled one per call (and drive its engine with the
+// caller's sink when traced), and the strategy sweep and the schedule
+// optimizer bind their own. Results are bitwise-identical to the reference
+// runner (RunReference) on the same Options — the differential fuzzer in
+// fuzz_test.go holds that gate closed.
 //
 // A Session is not safe for concurrent use; EvaluateMany runs one per
 // worker. All slices inside the returned Result are owned by the session
@@ -30,7 +38,7 @@ type Session struct {
 	splitBW    bool
 	wPieces    int
 	dynamicW   bool
-	record     bool // spans recorded (i.e. !MakespanOnly; sessions never trace)
+	record     bool // spans recorded (i.e. !MakespanOnly)
 	hasBudget  bool
 	budget     []int64
 	hasTail    bool
@@ -119,9 +127,10 @@ type Session struct {
 
 // NewSession binds a fast-evaluation session to opt. opt.Sched is fully
 // validated and becomes the base order; subsequent Eval calls accept any
-// per-stage permutation of the same ops. Tracing is incompatible with
-// sessions (use RunContext), as is a nil schedule or a budget of the wrong
-// length — all reported as wrapped errs.ErrIncompatible.
+// per-stage permutation of the same ops. A session does not take a sink —
+// traced runs go through RunContext, which drives a pooled session's
+// engine with it — so a traced Options, a nil schedule or a budget of the
+// wrong length is reported as a wrapped errs.ErrIncompatible.
 //
 //mepipe:deterministic
 func NewSession(opt Options) (*Session, error) {
@@ -442,6 +451,12 @@ func (se *Session) microInvariant(c Costs) bool {
 //
 //mepipe:deterministic
 func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
+	return se.eval(context.Background(), s)
+}
+
+// eval is Eval with cancellation for the dynamic engine, which checks ctx
+// every 256 executed ops; the static solver does not check it.
+func (se *Session) eval(ctx context.Context, s *sched.Schedule) (*Result, error) {
 	if err := se.compat(s); err != nil {
 		return nil, err
 	}
@@ -468,14 +483,26 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 	}
 	se.valid = true
 	if se.dynamicW {
-		if err := se.runEngine(); err != nil {
+		if err := se.runEngine(ctx, nil); err != nil {
 			return nil, err
 		}
-		se.assembleDynamic()
+		se.assembleEngine()
 		return &se.res, nil
 	}
 	se.memScan()
 	se.assembleStatic()
+	return &se.res, nil
+}
+
+// trace runs the bound schedule through the engine in either mode,
+// emitting every event into sink in execution order. The session must be
+// bound with span recording on (traced runs always record spans). The
+// returned Result is session-owned, as with Eval.
+func (se *Session) trace(ctx context.Context, sink obs.Sink) (*Result, error) {
+	if err := se.runEngine(ctx, sink); err != nil {
+		return nil, err
+	}
+	se.assembleEngine()
 	return &se.res, nil
 }
 

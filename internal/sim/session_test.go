@@ -40,8 +40,8 @@ func (l *sessLCG) next(n int) int {
 	return int((uint64(*l) >> 33) % uint64(n))
 }
 
-// requireSameResult asserts bitwise identity between a full replay and a
-// session evaluation — the tentpole's hard gate.
+// requireSameResult asserts bitwise identity between a reference replay and
+// a session evaluation.
 func requireSameResult(t *testing.T, full, inc *Result, label string) {
 	t.Helper()
 	if full == nil || inc == nil {
@@ -153,7 +153,7 @@ func sessionCases(t *testing.T) []sessionCase {
 
 // TestSessionMatchesRun drives each case through a long deterministic move
 // walk, comparing every incremental evaluation bitwise against a fresh full
-// replay — including steps whose order deadlocks, where both sides must
+// replay by the reference runner — including steps whose order deadlocks, where both sides must
 // fail with the same error class.
 func TestSessionMatchesRun(t *testing.T) {
 	for _, tc := range sessionCases(t) {
@@ -191,7 +191,7 @@ func TestSessionMatchesRun(t *testing.T) {
 				}
 				fullOpt := tc.opt
 				fullOpt.Sched = cand
-				full, fullErr := Run(fullOpt)
+				full, fullErr := RunReference(fullOpt)
 				inc, incErr := se.Eval(cand)
 				if (fullErr == nil) != (incErr == nil) {
 					t.Fatalf("step %d: full err %v, incremental err %v", step, fullErr, incErr)
@@ -222,7 +222,7 @@ func TestSessionMatchesRun(t *testing.T) {
 
 // TestSessionRecoversAfterError pins that an Eval that fails (deadlocked
 // order) leaves the session usable: the next valid order must still match
-// the full replay bitwise.
+// the reference replay bitwise.
 func TestSessionRecoversAfterError(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestSessionRecoversAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(Options{Sched: good, Costs: Unit()})
+	full, err := RunReference(Options{Sched: good, Costs: Unit()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,27 +341,27 @@ func TestSessionZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesRun pins the pooled one-shot wrapper: identical result
-// to Run, caller-owned (survives later Evaluate calls), traced calls fall
-// back to RunContext.
+// TestEvaluateMatchesRun pins the pooled one-shot entry point: RunContext's
+// result is identical to the reference runner's and caller-owned (survives
+// later RunContext calls that reuse the pooled session).
 func TestEvaluateMatchesRun(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{Sched: s, Costs: Unit(), DynamicW: true, ActBudget: []int64{9, 9, 9, 9}}
-	full, err := Run(opt)
+	full, err := RunReference(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Evaluate(context.Background(), opt)
+	got, err := RunContext(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, full, got, "evaluate")
 	// Result must be independent of the pooled session.
 	for i := 0; i < 4; i++ {
-		if _, err := Evaluate(context.Background(), Options{Sched: s, Costs: Unit()}); err != nil {
+		if _, err := RunContext(context.Background(), Options{Sched: s, Costs: Unit()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,13 +369,13 @@ func TestEvaluateMatchesRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Evaluate(ctx, opt); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("cancelled Evaluate: got %v, want ErrCancelled", err)
+	if _, err := RunContext(ctx, opt); !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled RunContext: got %v, want ErrCancelled", err)
 	}
 }
 
 // TestEvaluateManyMatchesRun pins batched evaluation: positional results
-// identical to per-schedule Run, nil entries for broken schedules, across
+// identical to per-schedule reference replays, nil entries for broken schedules, across
 // worker counts.
 func TestEvaluateManyMatchesRun(t *testing.T) {
 	base, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
@@ -405,7 +405,7 @@ func TestEvaluateManyMatchesRun(t *testing.T) {
 		}
 		o := opt
 		o.Sched = s
-		want[i], _ = Run(o) // nil on deadlocked orders, matching EvaluateMany
+		want[i], _ = RunReference(o) // nil on deadlocked orders, matching EvaluateMany
 	}
 	for _, workers := range []int{1, 4} {
 		got, err := EvaluateMany(context.Background(), scheds, opt, workers)
@@ -469,7 +469,7 @@ func BenchmarkFullReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := opt
 		o.Sched = cands[i%len(cands)]
-		if _, err := Run(o); err != nil {
+		if _, err := RunReference(o); err != nil {
 			b.Fatal(err)
 		}
 	}

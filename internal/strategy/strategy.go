@@ -155,10 +155,9 @@ func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster
 	if o.costWrap != nil {
 		simCosts = o.costWrap(s, pt.costs)
 	}
-	// Evaluate takes the pooled-session fast path for untraced runs and
-	// falls back to RunContext itself when o.sink is set (tracing owns
-	// span emission); results are bitwise-identical either way.
-	res, err := sim.Evaluate(ctx, sim.Options{
+	// RunContext evaluates through a pooled session, and drives its engine
+	// with o.sink when tracing.
+	res, err := sim.RunContext(ctx, sim.Options{
 		Sched: s, Costs: simCosts,
 		ActBudget: pt.plan.ActBudget,
 		DynamicW:  dynamicW,
